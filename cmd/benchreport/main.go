@@ -1,6 +1,6 @@
 // Command benchreport runs the repository's performance micro-benchmarks —
 // the strategy registry dispatch, the obs metrics layer, the decision-trace
-// journal, the HeRAD wavefront scaling sweep, the large-n exact-vs-ε-beam
+// journal, the HeRAD fill sweep, the large-n exact-vs-ε-beam
 // scaling rows and the incremental replan rows — and writes a machine-
 // readable JSON report with ns/op, allocs/op and B/op per benchmark. CI
 // publishes the report as an artifact next to the coverage profile so
@@ -10,8 +10,8 @@
 //
 //   - every benchmark of a disabled (nil-sink, nil-journal) path must
 //     measure exactly 0 allocs/op;
-//   - with -baseline, every guarded benchmark (the serial workers=1 HeRAD
-//     fills) must stay within -maxregress percent of the committed report.
+//   - with -baseline, every guarded benchmark (the HeRAD fills) must stay
+//     within -maxregress percent of the committed report.
 //     Machines differ, so the comparison is normalized by the calibrate/
 //     benchmark measured in the same run: what is gated is the ratio of a
 //     guarded fill to a small serial fill, not raw nanoseconds.
@@ -20,8 +20,8 @@
 //
 // Usage:
 //
-//	benchreport [-o BENCH_PR10.json] [-benchtime 100ms] [-match herad]
-//	            [-baseline BENCH_PR10.json] [-maxregress 25] [-list]
+//	benchreport [-o BENCH_PR12.json] [-benchtime 100ms] [-match herad]
+//	            [-baseline BENCH_PR12.json] [-maxregress 25] [-list]
 //	            [-statusz statusz.json] [-statusz-zero-timers]
 //	            [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
@@ -104,7 +104,7 @@ type statuszOptions struct {
 }
 
 func main() {
-	out := flag.String("o", "BENCH_PR10.json", "report output path")
+	out := flag.String("o", "BENCH_PR12.json", "report output path")
 	benchtime := flag.Duration("benchtime", 100*time.Millisecond, "target measuring time per benchmark")
 	match := flag.String("match", "", "run only benchmarks whose name contains this substring")
 	baseline := flag.String("baseline", "", "committed report to gate guarded benchmarks against")
@@ -595,7 +595,7 @@ func benchmarks() []bench {
 			}
 		}},
 	}
-	benches = append(benches, heradScaling()...)
+	benches = append(benches, heradFill()...)
 	benches = append(benches, heradGeneral()...)
 	benches = append(benches, heradScale()...)
 	return append(benches, heradReplan()...)
@@ -603,12 +603,10 @@ func benchmarks() []bench {
 
 // heradScale is the large-n sweep behind DESIGN.md §4g: exact HeRAD
 // against the ε-beam fill on chains one to two orders of magnitude past
-// the wavefront sizes, where the O(n²) split-point scan dominates. The
-// exact rows pin the serial baseline; the ε rows are guarded too, so a
+// the herad/fill sizes, where the O(n²) split-point scan dominates. The
+// exact rows pin the exact fill; the ε rows are guarded too, so a
 // change that silently erodes the beam pruning (and with it the headline
-// speedup) fails the gate just like a slowdown of the exact fill. Every
-// row is serial: the sweep isolates the pruning win from the wavefront
-// parallelism measured above.
+// speedup) fails the gate just like a slowdown of the exact fill.
 func heradScale() []bench {
 	c2k := chaingen.GenerateMany(chaingen.Default(2048, 0.5), 11, 1)[0]
 	c4k := chaingen.GenerateMany(chaingen.Default(4096, 0.5), 11, 1)[0]
@@ -616,7 +614,7 @@ func heradScale() []bench {
 	run := func(c *core.Chain, eps float64) func(int) {
 		return func(n int) {
 			for i := 0; i < n; i++ {
-				if s := herad.ScheduleOpts(c, r, herad.Options{Workers: 1, Epsilon: eps}); s.IsEmpty() {
+				if s := herad.ScheduleOpts(c, r, herad.Options{Epsilon: eps}); s.IsEmpty() {
 					panic("no schedule")
 				}
 			}
@@ -664,7 +662,7 @@ func heradReplan() []bench {
 					panic(err)
 				}
 				cur = c
-				if s := herad.ScheduleOpts(cur, r, herad.Options{Workers: 1}); s.IsEmpty() {
+				if s := herad.ScheduleOpts(cur, r, herad.Options{}); s.IsEmpty() {
 					panic("no schedule")
 				}
 			}
@@ -673,7 +671,7 @@ func heradReplan() []bench {
 			// Built once, during measure's warm-up call: the incumbent's
 			// initial full fill is the cost the warm starts amortize away.
 			if replanIncumbent == nil {
-				p, err := herad.NewPlanner(base, r, herad.Options{Workers: 1})
+				p, err := herad.NewPlanner(base, r, herad.Options{})
 				if err != nil {
 					panic(err)
 				}
@@ -693,43 +691,32 @@ func heradReplan() []bench {
 	}
 }
 
-// heradScaling builds the wavefront sweep: HeRAD's DP fill across growing
-// (tasks, big, little) problem sizes, each at 1, 2 and 4 workers. Every
-// size clears parGrain on its widest diagonals, so the pool genuinely
-// engages; whether it helps is what the report measures (num_cpu records
-// how many cores the run actually had). The workers=1 rows are guarded —
-// the serial fill is the path every machine depends on — and the small
-// calibrate fill anchors the cross-machine normalization of the gate.
-func heradScaling() []bench {
+// heradFill builds the serial fill sweep: HeRAD's 2D DP fill across
+// growing (tasks, big, little) problem sizes. Every row is guarded — the
+// fill is the path every plan depends on — and the small calibrate fill
+// anchors the cross-machine normalization of the gate.
+func heradFill() []bench {
 	sizes := []struct {
 		n, b, l int
 	}{{24, 8, 8}, {48, 16, 16}, {64, 24, 24}}
-	out := []bench{{name: calibrateName, guard: false, fn: func(n int) {
-		c := chaingen.GenerateMany(chaingen.Default(20, 0.5), 7, 1)[0]
-		r := core.Res(8, 8)
-		for i := 0; i < n; i++ {
-			if s := herad.ScheduleOpts(c, r, herad.Options{Workers: 1}); s.IsEmpty() {
-				panic("no schedule")
+	run := func(c *core.Chain, r core.Resources) func(int) {
+		return func(n int) {
+			for i := 0; i < n; i++ {
+				if s := herad.ScheduleOpts(c, r, herad.Options{}); s.IsEmpty() {
+					panic("no schedule")
+				}
 			}
 		}
-	}}}
+	}
+	out := []bench{{name: calibrateName, guard: false,
+		fn: run(chaingen.GenerateMany(chaingen.Default(20, 0.5), 7, 1)[0], core.Res(8, 8))}}
 	for _, sz := range sizes {
 		c := chaingen.GenerateMany(chaingen.Default(sz.n, 0.5), 11, 1)[0]
-		r := core.Res(sz.b, sz.l)
-		for _, workers := range []int{1, 2, 4} {
-			workers := workers
-			out = append(out, bench{
-				name:  fmt.Sprintf("herad/wavefront/n%d_b%d_l%d/workers=%d", sz.n, sz.b, sz.l, workers),
-				guard: workers == 1,
-				fn: func(n int) {
-					for i := 0; i < n; i++ {
-						if s := herad.ScheduleOpts(c, r, herad.Options{Workers: workers}); s.IsEmpty() {
-							panic("no schedule")
-						}
-					}
-				},
-			})
-		}
+		out = append(out, bench{
+			name:  fmt.Sprintf("herad/fill/n%d_b%d_l%d", sz.n, sz.b, sz.l),
+			guard: true,
+			fn:    run(c, core.Res(sz.b, sz.l)),
+		})
 	}
 	return out
 }
@@ -738,7 +725,7 @@ func heradScaling() []bench {
 // specialized two-type fast path on the same instance (the cost of
 // genericity the fast path avoids), plus a three-type instance only the
 // general fill can solve. Unguarded: the rows document the ratio, the
-// fast path itself is gated through the wavefront rows.
+// fast path itself is gated through the herad/fill rows.
 func heradGeneral() []bench {
 	c2 := chaingen.GenerateMany(chaingen.Default(24, 0.5), 13, 1)[0]
 	r2 := core.Res(8, 8)
@@ -754,9 +741,9 @@ func heradGeneral() []bench {
 		}
 	}
 	return []bench{
-		{name: "herad/general/n24_k2/fast", fn: run(c2, r2, herad.Options{Workers: 1})},
-		{name: "herad/general/n24_k2/general", fn: run(c2, r2, herad.Options{Workers: 1, ForceGeneral: true})},
-		{name: "herad/general/n24_k3/general", fn: run(c3, r3, herad.Options{Workers: 1})},
+		{name: "herad/general/n24_k2/fast", fn: run(c2, r2, herad.Options{})},
+		{name: "herad/general/n24_k2/general", fn: run(c2, r2, herad.Options{ForceGeneral: true})},
+		{name: "herad/general/n24_k3/general", fn: run(c3, r3, herad.Options{})},
 	}
 }
 

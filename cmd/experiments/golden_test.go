@@ -3,8 +3,10 @@ package main
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"ampsched/internal/obs"
@@ -70,24 +72,33 @@ func captureStdout(t *testing.T, fn func() error) []byte {
 // algorithmic counter (DP cells, probes, recursion nodes, cache hits)
 // must survive any refactor of the two-type code path unchanged;
 // regenerate with -update only for intentional changes.
+//
+// The campaign runs at two GOMAXPROCS values: nothing in the goldens may
+// depend on how many CPUs the host has.
 func TestTable1Golden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a miniature campaign")
 	}
-	a := testApp()
-	a.reg = obs.NewRegistry()
-	a.cache = strategy.NewCache()
-	a.metricsPath = filepath.Join(t.TempDir(), "metrics.json")
-	out := captureStdout(t, func() error {
-		if err := a.run("table1"); err != nil {
-			return err
-		}
-		return a.writeMetrics()
-	})
-	goldenCompare(t, "table1.golden", out)
-	raw, err := os.ReadFile(a.metricsPath)
-	if err != nil {
-		t.Fatal(err)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		t.Run(fmt.Sprintf("gomaxprocs=%d", procs), func(t *testing.T) {
+			runtime.GOMAXPROCS(procs)
+			a := testApp()
+			a.reg = obs.NewRegistry()
+			a.cache = strategy.NewCache()
+			a.metricsPath = filepath.Join(t.TempDir(), "metrics.json")
+			out := captureStdout(t, func() error {
+				if err := a.run("table1"); err != nil {
+					return err
+				}
+				return a.writeMetrics()
+			})
+			goldenCompare(t, "table1.golden", out)
+			raw, err := os.ReadFile(a.metricsPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			goldenCompare(t, "table1_metrics.golden", normalizeReport(t, raw))
+		})
 	}
-	goldenCompare(t, "table1_metrics.golden", normalizeReport(t, raw))
 }

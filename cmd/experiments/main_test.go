@@ -23,8 +23,12 @@ func quietly(t *testing.T, fn func() error) {
 	}
 }
 
+// testApp is a miniature campaign configuration. Its PlanBatch pool is
+// pinned to one worker: the planbatch.workers gauge in metrics.json
+// records the pool size, and an unset pool would size itself to the
+// host's GOMAXPROCS.
 func testApp() *app {
-	return &app{chains: 20, runs: 2, quick: true, scale: 10}
+	return &app{chains: 20, runs: 2, quick: true, scale: 10, workers: 1}
 }
 
 func TestDriversRun(t *testing.T) {

@@ -260,8 +260,11 @@ type Chain struct {
 }
 
 // NewChain builds a chain from tasks. It returns an error if the chain is
-// empty, if any task has a negative weight, or if the tasks do not agree
-// on the number of core types (every task must carry one weight per type).
+// empty, if any weight is negative or not finite, if a per-type prefix sum
+// of the weights overflows to +Inf, or if the tasks do not agree on the
+// number of core types (every task must carry one weight per type). Finite
+// prefix sums are what keep interval weights monotone in the interval,
+// which the schedulers' binary searches rely on.
 func NewChain(tasks []Task) (*Chain, error) {
 	if len(tasks) == 0 {
 		return nil, errors.New("core: empty task chain")
@@ -289,11 +292,15 @@ func NewChain(tasks []Task) (*Chain, error) {
 		// the caller mutates its task slice afterwards.
 		c.tasks[i].Weight = append([]float64(nil), t.Weight...)
 		for v := 0; v < k; v++ {
-			if t.Weight[v] < 0 || math.IsNaN(t.Weight[v]) {
+			if t.Weight[v] < 0 || math.IsNaN(t.Weight[v]) || math.IsInf(t.Weight[v], 0) {
 				return nil, fmt.Errorf("core: task %d (%q) has invalid weight %v on %v",
 					i, t.Name, t.Weight[v], CoreType(v))
 			}
 			c.prefix[v][i+1] = c.prefix[v][i] + t.Weight[v]
+			if math.IsInf(c.prefix[v][i+1], 1) {
+				return nil, fmt.Errorf("core: task %d (%q): the chain's total weight on %v overflows at weight %v",
+					i, t.Name, CoreType(v), t.Weight[v])
+			}
 		}
 		c.seqPrefix[i+1] = c.seqPrefix[i]
 		if !t.Replicable {

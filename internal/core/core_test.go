@@ -45,6 +45,37 @@ func TestNewChainErrors(t *testing.T) {
 	}
 }
 
+// TestNewChainRejectsNonFiniteWeights pins the range check behind the
+// schedulers' monotone prefix sums: an infinite weight and a finite weight
+// whose prefix sum overflows are both rejected with an error naming the
+// task and the core type, instead of yielding an empty schedule.
+func TestNewChainRejectsNonFiniteWeights(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		tasks []Task
+		want  []string
+	}{
+		{"inf", []Task{task(1, 2, true), task(3, math.Inf(1), true)},
+			[]string{"task 1", Little.String()}},
+		{"overflow", []Task{task(1e308, 1, false), task(1e308, 1, true)},
+			[]string{"task 1", Big.String(), "overflows"}},
+	} {
+		_, err := NewChain(tc.tasks)
+		if err == nil {
+			t.Errorf("%s: accepted", tc.name)
+			continue
+		}
+		for _, w := range tc.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Errorf("%s: error %q does not name %q", tc.name, err, w)
+			}
+		}
+	}
+	if _, err := NewChain([]Task{task(1e307, 1, true), task(1e307, 1, true)}); err != nil {
+		t.Errorf("large finite chain rejected: %v", err)
+	}
+}
+
 func TestMustChainPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

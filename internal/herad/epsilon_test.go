@@ -28,11 +28,11 @@ func TestEpsilonZeroBitIdentical(t *testing.T) {
 		n := 1 + rng.Intn(24)
 		c := chaingen.Generate(chaingen.Default(n, []float64{0, 0.3, 0.5, 0.8, 1}[rng.Intn(5)]), rng)
 		r := core.Res(1+rng.Intn(5), rng.Intn(5))
-		want := ScheduleOpts(c, r, Options{Workers: 1})
+		want := ScheduleOpts(c, r, Options{})
 		for _, o := range []Options{
-			{Workers: 1, Epsilon: 0},
-			{Workers: 1, Epsilon: -0.5}, // negative normalizes to exact
-			{Workers: 1, Epsilon: 0, ForceGeneral: true},
+			{Epsilon: 0},
+			{Epsilon: -0.5}, // negative normalizes to exact
+			{Epsilon: 0, ForceGeneral: true},
 		} {
 			got := ScheduleOpts(c, r, o)
 			if !reflect.DeepEqual(got, want) {
@@ -54,9 +54,9 @@ func TestEpsilonBoundVsExact(t *testing.T) {
 		n := 2 + rng.Intn(40)
 		c := chaingen.Generate(chaingen.Default(n, []float64{0, 0.3, 0.5, 0.8, 1}[rng.Intn(5)]), rng)
 		r := core.Res(1+rng.Intn(6), rng.Intn(6))
-		exact := ScheduleOpts(c, r, Options{Workers: 1}).Period(c)
+		exact := ScheduleOpts(c, r, Options{}).Period(c)
 		for _, eps := range []float64{0.01, 0.05, 0.2, 1.0} {
-			s := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps})
+			s := ScheduleOpts(c, r, Options{Epsilon: eps})
 			if err := s.Validate(c, r); err != nil {
 				t.Fatalf("iter %d eps %v: invalid: %v", iter, eps, err)
 			}
@@ -86,7 +86,7 @@ func TestEpsilonBoundVsBrute(t *testing.T) {
 		}
 		want := brute.MinPeriod(c, r)
 		for _, eps := range []float64{0.01, 0.05, 0.5} {
-			p := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps}).Period(c)
+			p := ScheduleOpts(c, r, Options{Epsilon: eps}).Period(c)
 			if p > want*(1+eps)*epsTol {
 				t.Fatalf("iter %d eps %v: period %v exceeds (1+ε)·brute %v\nchain=%+v R=%v",
 					iter, eps, p, want, c.Tasks(), r)
@@ -105,12 +105,12 @@ func TestEpsilonBoundGeneralFill(t *testing.T) {
 		n := 2 + rng.Intn(20)
 		c2 := chaingen.Generate(chaingen.Default(n, 0.5), rng)
 		r2 := core.Res(1+rng.Intn(4), 1+rng.Intn(4))
-		exact2 := ScheduleOpts(c2, r2, Options{Workers: 1}).Period(c2)
+		exact2 := ScheduleOpts(c2, r2, Options{}).Period(c2)
 		c3 := chaingen.Generate(chaingen.Default3(n, 0.5), rng)
 		r3 := core.Res(1+rng.Intn(3), 1+rng.Intn(3), 1+rng.Intn(3))
 		exact3 := ScheduleOpts(c3, r3, Options{}).Period(c3)
 		for _, eps := range []float64{0.01, 0.05, 0.3} {
-			p2 := ScheduleOpts(c2, r2, Options{Workers: 1, Epsilon: eps, ForceGeneral: true}).Period(c2)
+			p2 := ScheduleOpts(c2, r2, Options{Epsilon: eps, ForceGeneral: true}).Period(c2)
 			if p2 > exact2*(1+eps)*epsTol {
 				t.Fatalf("iter %d eps %v: general 2-type period %v exceeds (1+ε)·%v", iter, eps, p2, exact2)
 			}
@@ -125,25 +125,6 @@ func TestEpsilonBoundGeneralFill(t *testing.T) {
 	}
 }
 
-// TestEpsilonParallelMatchesSerial pins that the ε fill composes with the
-// wavefront pool: workers only partition the anti-diagonal sweep, so the
-// ε-pruned schedule must be bit-identical at any worker count.
-func TestEpsilonParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	for iter := 0; iter < 20; iter++ {
-		n := 8 + rng.Intn(40)
-		c := chaingen.Generate(chaingen.Default(n, 0.5), rng)
-		r := core.Res(2+rng.Intn(6), 2+rng.Intn(6))
-		for _, eps := range []float64{0.01, 0.1} {
-			serial := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps})
-			par := ScheduleOpts(c, r, Options{Workers: 4, Epsilon: eps})
-			if !reflect.DeepEqual(serial, par) {
-				t.Fatalf("iter %d eps %v: parallel fill diverged\nserial %v\npar    %v", iter, eps, serial, par)
-			}
-		}
-	}
-}
-
 // TestEpsilonPrunesWork asserts the beam actually beams: on a chain large
 // enough for the grids to engage, the ε fill must visit strictly fewer DP
 // candidates than the exact fill (the wall-clock claim of BENCH_PR7.json,
@@ -153,7 +134,7 @@ func TestEpsilonPrunesWork(t *testing.T) {
 	r := core.Res(4, 4)
 	count := func(eps float64) int64 {
 		reg := obs.NewRegistry()
-		ScheduleOpts(c, r, Options{Workers: 1, Epsilon: eps, Metrics: MetricsFrom(reg)})
+		ScheduleOpts(c, r, Options{Epsilon: eps, Metrics: MetricsFrom(reg)})
 		return MetricsFrom(reg).DPCandidates.Value()
 	}
 	exact := count(0)
@@ -171,8 +152,8 @@ func TestEpsilonPrunesWork(t *testing.T) {
 func TestEpsilonNaN(t *testing.T) {
 	c := core.MustChain([]core.Task{task(10, 20, false), task(8, 16, true), task(4, 9, true)})
 	r := core.Res(2, 2)
-	want := ScheduleOpts(c, r, Options{Workers: 1})
-	got := ScheduleOpts(c, r, Options{Workers: 1, Epsilon: math.NaN()})
+	want := ScheduleOpts(c, r, Options{})
+	got := ScheduleOpts(c, r, Options{Epsilon: math.NaN()})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("NaN epsilon diverged: %v vs %v", got, want)
 	}

@@ -25,7 +25,7 @@ import (
 // the candidate enumeration visits the same (split, type, count) triples
 // in the same order, so the general fill emits byte-identical schedules —
 // general_test.go asserts this, and it is what licenses keeping the fast
-// path. The general fill is serial (Options.Workers is ignored) and prunes
+// path. Like the 2D fill, the general fill is serial; it prunes
 // the reverse split loop with the same period-dominance test, applied
 // in-loop only — the pruning counters may therefore differ from the fast
 // path's, the schedules cannot.

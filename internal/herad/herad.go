@@ -12,27 +12,25 @@
 // post-pass), along with a period-dominance pruning of the reverse stage
 // loop that cannot alter either objective.
 //
-// The fill is wavefront-parallel: within row j, cell (j, b, l) depends
+// The fill is one serial row scan: within row j, cell (j, b, l) depends
 // only on rows < j and on the already-recomputed same-row neighbors
-// (j, b−1, l) and (j, b, l−1), so the cells of each anti-diagonal
-// b+l = const are mutually independent. Options.Workers spreads every
-// sufficiently large diagonal over a worker pool; each cell's value is a
-// pure function of its dependencies, so the result is bit-identical for
-// every worker count (asserted by parallel_test.go under -race).
+// (j, b−1, l) and (j, b, l−1). Each cell evaluates only the candidates that
+// can still win or tie (DESIGN.md §4e): a candidate whose period is known to
+// exceed the incumbent is never built, the replica-count loop stops once
+// the predecessor alone loses, and the exact fill binary-searches where the
+// reverse split loop can start. The cells, the decision journal and the
+// herad.dp.* counters are those of the full candidate walk, which
+// reference_test.go keeps as the oracle.
 //
 // Platforms with k≠2 core types are solved by the general k-type fill in
 // general.go, whose DP state is indexed by the k-vector of remaining core
-// counts. Two-type problems keep this file's specialized 2D fill — the
-// wavefront parallelism and the bit-exact outputs above are its contract —
-// unless Options.ForceGeneral routes them through the general fill (which
+// counts. Two-type problems keep this file's specialized 2D fill unless
+// Options.ForceGeneral routes them through the general fill (which
 // provably emits the same schedules; see general.go).
 package herad
 
 import (
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"ampsched/internal/core"
 	"ampsched/internal/obs"
@@ -156,21 +154,14 @@ func (m *matrix) resize(n int) {
 }
 
 // Options carries the scheduling knobs of the DP. The zero value is the
-// default configuration: merged post-pass, GOMAXPROCS wavefront workers,
-// disabled instrumentation.
+// default configuration: exact fill, merged post-pass, disabled
+// instrumentation.
 type Options struct {
-	// Workers bounds the wavefront worker pool of the DP fill: ≤ 0 uses
-	// GOMAXPROCS, 1 forces the serial fill. The emitted schedule is
-	// bit-identical for every value — only the wall clock changes — and
-	// small problems fall back to the serial fill regardless (see
-	// parGrain). Journaled runs (Metrics.Trace enabled) always fill
-	// serially so the decision journal keeps its deterministic order.
-	Workers int
 	// Raw skips the replicable-stage merge post-pass, exposing schedules
 	// exactly as extracted from the DP matrix.
 	Raw bool
 	// ForceGeneral routes two-type problems through the general k-type DP
-	// fill instead of the specialized 2D wavefront fill. The schedules are
+	// fill instead of the specialized 2D fill. The schedules are
 	// identical (asserted by general_test.go); only the wall clock and the
 	// pruning counters differ. Platforms with k≠2 always use the general
 	// fill. Intended for tests and benchmarks of the specialization.
@@ -261,79 +252,25 @@ func scheduleRaw(c *core.Chain, r core.Resources, o Options) core.Solution {
 	dp, exit := om.Trace.Enter("dp_pass")
 	dp.Int("tasks", n).Int("big", b).Int("little", l)
 	m := newMatrix(n, b, l, o.epsilon())
-	fillRows(m, c, 1, n, o)
+	fillRows(m, c, 1, n, om)
 	exit()
 	return extractSolution(m, c, n, b, l)
 }
 
-// fillWorkers resolves the wavefront worker count for one fill of m:
-// Options.Workers (GOMAXPROCS when unset), forced serial under tracing so
-// the journal keeps its deterministic order, and capped by the widest
-// anti-diagonal a row can offer.
-func fillWorkers(m *matrix, o Options) int {
-	workers := o.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if o.Metrics.Trace.Enabled() {
-		// Journal events must appear in the serial fill order for the
-		// exported journal (and the -explain goldens) to stay byte-exact.
-		workers = 1
-	}
-	if w := maxDiagonal(m.b, m.l); workers > w {
-		workers = w // a diagonal never has more cells than min(b,l)+1
-	}
-	return workers
-}
-
 // fillRows computes rows from..to of the matrix in ascending row order:
 // each row is seeded by singleStageSolution and, from row 2 on, completed
-// by the Eq. 4 recurrence over its cells. Rows < from are read, never
+// by the Eq. 4 recurrence over its cells in (ub, ul) scan order — every
+// cell reads only earlier rows and its same-row neighbors (j, ub−1, ul)
+// and (j, ub, ul−1), both filled before it. Rows < from are read, never
 // written, which is what lets the incremental Planner refill only the
 // suffix a chain edit invalidates. The rows must be in their pre-fill
 // (+Inf) state — fresh from newMatrix, or resetRow.
-func fillRows(m *matrix, c *core.Chain, from, to int, o Options) {
-	om := o.Metrics
-	var pool *wavePool
-	if fillWorkers(m, o) > 1 {
-		pool = newWavePool(m, c, om, fillWorkers(m, o))
-		defer pool.close()
-	}
-	for e := from; e <= to; e++ {
-		singleStageSolution(m, c, e)
-		if e >= 2 {
-			fillRow(m, c, e, om, pool)
+func fillRows(m *matrix, c *core.Chain, from, to int, om Metrics) {
+	for j := from; j <= to; j++ {
+		singleStageSolution(m, c, j)
+		if j < 2 {
+			continue
 		}
-	}
-}
-
-// parGrain is the minimum estimated work — candidate comparisons, i.e.
-// width · row · (b+l) — below which a diagonal is filled serially even
-// when a pool is available: distributing a handful of cheap cells costs
-// more in synchronization than it saves. Results are identical either
-// way; only the wall clock depends on the cut-off.
-const parGrain = 4096
-
-// maxDiagonal returns the widest anti-diagonal of a (b+1)×(l+1) row.
-func maxDiagonal(b, l int) int {
-	if b < l {
-		return b + 1
-	}
-	return l + 1
-}
-
-// fillRow recomputes row j of the matrix by anti-diagonal waves: the
-// cells with ub+ul = d only read cells of earlier rows and of diagonal
-// d−1, so each wave's cells are independent and fill concurrently.
-//
-// Every cell is a pure function of earlier-row cells and same-row smaller
-// neighbors — all filled before it under both traversals — so the wave
-// order computes exactly the row-scan matrix. Journaled fills keep the
-// classic (ub, ul) scan anyway: the journal records events in fill order,
-// and exported artifacts (JSONL, -explain goldens) must stay byte-exact
-// with the serial implementation.
-func fillRow(m *matrix, c *core.Chain, j int, om Metrics, pool *wavePool) {
-	if om.Trace.Enabled() {
 		for ub := 0; ub <= m.b; ub++ {
 			for ul := 0; ul <= m.l; ul++ {
 				if ub != 0 || ul != 0 {
@@ -341,86 +278,8 @@ func fillRow(m *matrix, c *core.Chain, j int, om Metrics, pool *wavePool) {
 				}
 			}
 		}
-		return
-	}
-	for d := 1; d <= m.b+m.l; d++ {
-		bLo := d - m.l
-		if bLo < 0 {
-			bLo = 0
-		}
-		bHi := d
-		if bHi > m.b {
-			bHi = m.b
-		}
-		width := bHi - bLo + 1
-		if pool == nil || width < 2 || width*j*(m.b+m.l) < parGrain {
-			for ub := bLo; ub <= bHi; ub++ {
-				recomputeCell(m, c, j, ub, d-ub, om)
-			}
-			continue
-		}
-		pool.runDiagonal(j, d, bLo, bHi)
 	}
 }
-
-// wavePool is the persistent worker pool of one DP fill. The coordinator
-// publishes one diagonal at a time (the channel send/receive pairs give
-// the happens-before edges for the fields and for all previously filled
-// cells), the workers and the coordinator claim cells via an atomic
-// cursor, and the WaitGroup closes the wave before the next diagonal —
-// or any dependent serial cell — starts.
-type wavePool struct {
-	m  *matrix
-	c  *core.Chain
-	om Metrics
-
-	work chan struct{} // one token per worker per diagonal
-	wg   sync.WaitGroup
-	next atomic.Int64 // next ub to claim in the current diagonal
-
-	spawned        int // workers beyond the coordinator
-	j, d, bLo, bHi int
-}
-
-func newWavePool(m *matrix, c *core.Chain, om Metrics, workers int) *wavePool {
-	p := &wavePool{m: m, c: c, om: om, spawned: workers - 1}
-	p.work = make(chan struct{})
-	for k := 0; k < p.spawned; k++ {
-		go func() {
-			for range p.work {
-				p.drain()
-				p.wg.Done()
-			}
-		}()
-	}
-	return p
-}
-
-func (p *wavePool) runDiagonal(j, d, bLo, bHi int) {
-	p.j, p.d, p.bLo, p.bHi = j, d, bLo, bHi
-	p.next.Store(int64(bLo))
-	p.wg.Add(p.spawned)
-	for k := 0; k < p.spawned; k++ {
-		p.work <- struct{}{}
-	}
-	p.drain() // the coordinator computes too
-	p.wg.Wait()
-}
-
-// drain claims and recomputes cells of the current diagonal until none
-// remain. Claims are per-cell: diagonals are at most min(b,l)+1 wide, so
-// cursor contention is negligible next to a cell's O(n·(b+l)) work.
-func (p *wavePool) drain() {
-	for {
-		ub := int(p.next.Add(1)) - 1
-		if ub > p.bHi {
-			return
-		}
-		recomputeCell(p.m, p.c, p.j, ub, p.d-ub, p.om)
-	}
-}
-
-func (p *wavePool) close() { close(p.work) }
 
 // Period returns the optimal period of c on r without materializing the
 // schedule (it still fills the DP matrix).
@@ -613,8 +472,18 @@ func skipSplit(c *core.Chain, j, i, iCut int, limB, limL float64) int {
 // the chain's monotone prefix sums (dominated is non-increasing in i), so
 // the loop never visits split points the seed period already rules out.
 // The in-loop check survives because cur.pbest can improve mid-loop and
-// cut even earlier; together the two reproduce the former walk's candidate
-// set, prune count and trace events exactly.
+// cut even earlier.
+//
+// Only candidates that can still win or tie are evaluated (DESIGN.md §4e):
+// a candidate's period max(prev.pbest, w/u) is known before its cell is
+// built, so a strictly worse one is never built or compared; the u loop
+// stops once the predecessor alone exceeds the incumbent, because
+// P*(i−1, ·) only grows as u takes cores away from it; and the exact fill
+// starts the reverse split loop at predecessorWindow, past every split
+// whose one-core predecessor already loses. Losing candidates never touch
+// cur, so the cell, the prune count and the journal are those of the full
+// walk. The candidate counter still counts the full walk's candidate set:
+// the skipped candidates are added arithmetically.
 func recomputeCell(m *matrix, c *core.Chain, j, b, l int, om Metrics) {
 	om.DPCells.Inc()
 	candidates := 0       // accumulated locally to keep the hot loops cheap
@@ -645,7 +514,14 @@ func recomputeCell(m *matrix, c *core.Chain, j, b, l int, om Metrics) {
 		iCut = lo
 	}
 	pruned := iCut >= 1
-	for i := j; i > iCut; i-- {
+	start := j
+	if m.eps == 0 {
+		if start = predecessorWindow(m, j, b, l, cur.pbest); start < iCut {
+			start = iCut
+		}
+		candidates += skippedSplitCandidates(c, j, b, l, start)
+	}
+	for i := start; i > iCut; i-- {
 		// The candidate stage holds tasks [i-1, j-1] (0-based); its
 		// predecessor subproblem is row i-1. i == 1 reproduces the
 		// single-stage candidates with intermediate core counts.
@@ -680,8 +556,14 @@ func recomputeCell(m *matrix, c *core.Chain, j, b, l int, om Metrics) {
 			uStartB, uStartL = uFloor(wB, thrU), uFloor(wL, thrU)
 		}
 		for u := uStartB; u <= maxUB; u++ {
-			candidates++
 			prev := m.at(i-1, b-u, l)
+			if prev.pbest > cur.pbest {
+				// P*(i−1, b−u, l) is non-increasing in b−u: every larger u
+				// loses too.
+				candidates += gridCount(u, maxUB, m.gamma)
+				break
+			}
+			candidates++
 			p := wB
 			if rep {
 				p = wB / float64(u)
@@ -689,23 +571,29 @@ func recomputeCell(m *matrix, c *core.Chain, j, b, l int, om Metrics) {
 			if prev.pbest > p {
 				p = prev.pbest
 			}
-			cand := cell{
-				pbest: p,
-				accB:  prev.accB + 1, accL: prev.accL,
-				prevB: int32(b - u), prevL: int32(l),
-				start: int32(i - 1), v: core.Big,
+			if p <= cur.pbest {
+				cand := cell{
+					pbest: p,
+					accB:  prev.accB + 1, accL: prev.accL,
+					prevB: int32(b - u), prevL: int32(l),
+					start: int32(i - 1), v: core.Big,
+				}
+				if rep {
+					cand.accB = prev.accB + int32(u)
+				}
+				compareCells(&cur, &cand)
 			}
-			if rep {
-				cand.accB = prev.accB + int32(u)
-			}
-			compareCells(&cur, &cand)
 			if m.eps > 0 {
 				u = gridNext(u, m.gamma) - 1 // loop's u++ lands on the grid point
 			}
 		}
 		for u := uStartL; u <= maxUL; u++ {
-			candidates++
 			prev := m.at(i-1, b, l-u)
+			if prev.pbest > cur.pbest {
+				candidates += gridCount(u, maxUL, m.gamma)
+				break
+			}
+			candidates++
 			p := wL
 			if rep {
 				p = wL / float64(u)
@@ -713,16 +601,18 @@ func recomputeCell(m *matrix, c *core.Chain, j, b, l int, om Metrics) {
 			if prev.pbest > p {
 				p = prev.pbest
 			}
-			cand := cell{
-				pbest: p,
-				accB:  prev.accB, accL: prev.accL + 1,
-				prevB: int32(b), prevL: int32(l - u),
-				start: int32(i - 1), v: core.Little,
+			if p <= cur.pbest {
+				cand := cell{
+					pbest: p,
+					accB:  prev.accB, accL: prev.accL + 1,
+					prevB: int32(b), prevL: int32(l - u),
+					start: int32(i - 1), v: core.Little,
+				}
+				if rep {
+					cand.accL = prev.accL + int32(u)
+				}
+				compareCells(&cur, &cand)
 			}
-			if rep {
-				cand.accL = prev.accL + int32(u)
-			}
-			compareCells(&cur, &cand)
 			if m.eps > 0 {
 				u = gridNext(u, m.gamma) - 1
 			}
@@ -747,6 +637,71 @@ func recomputeCell(m *matrix, c *core.Chain, j, b, l int, om Metrics) {
 			Str("type", cur.v.String()).Int("candidates", candidates)
 	}
 	*m.at(j, b, l) = cur
+}
+
+// gridCount returns how many replica counts the u loop visits from u to
+// maxU inclusive (u ≤ maxU): all of them in the exact fill (gamma = 0), the
+// points of the geometric grid otherwise.
+func gridCount(u, maxU int, gamma float64) int {
+	if gamma == 0 {
+		return maxU - u + 1
+	}
+	k := 0
+	for ; u <= maxU; u = gridNext(u, gamma) {
+		k++
+	}
+	return k
+}
+
+// predecessorWindow returns the largest split point i ≤ j whose one-core
+// predecessor — (i−1, b−1, l) or (i−1, b, l−1), whichever exists — has
+// pbest ≤ thr. Every candidate at a larger split uses at least one core,
+// so its predecessor has at most those core counts and a period > thr: it
+// loses to an incumbent of period thr. Exact P*(i−1, ·) is non-decreasing
+// in i, which makes the predicate binary-searchable; row 0 (pbest 0)
+// always qualifies, so the result is ≥ 1. Exact fill only: an ε cell need
+// not be monotone in i.
+func predecessorWindow(m *matrix, j, b, l int, thr float64) int {
+	fits := func(i int) bool {
+		return (b > 0 && m.at(i-1, b-1, l).pbest <= thr) ||
+			(l > 0 && m.at(i-1, b, l-1).pbest <= thr)
+	}
+	if fits(j) {
+		return j
+	}
+	lo, hi := 1, j-1 // invariant: fits(lo); the window's end is in [lo, hi]
+	for lo < hi {
+		mid := int(uint(lo+hi+1) >> 1)
+		if fits(mid) {
+			lo = mid
+		} else {
+			hi = mid - 1
+		}
+	}
+	return lo
+}
+
+// skippedSplitCandidates counts the candidates the exact full walk
+// evaluates at the split points start+1..j that predecessorWindow skips:
+// b+l per replicable stage, one per core type with at least one core per
+// sequential stage. Replicable splits are a suffix of the range (a shorter
+// interval only loses sequential tasks), found by binary search.
+func skippedSplitCandidates(c *core.Chain, j, b, l, start int) int {
+	if start >= j {
+		return 0
+	}
+	lo, hi := start+1, j+1 // the first replicable split is in [lo, hi]; j+1 = none
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if c.IsRep(mid-1, j-1) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	nRep := j + 1 - lo
+	nSeq := j - start - nRep
+	return nRep*(b+l) + nSeq*(min(b, 1)+min(l, 1))
 }
 
 // compareCells implements Algo 10: cur is replaced by cand when cand has a

@@ -19,7 +19,7 @@ import (
 //
 // A Planner carries one chain, one resource vector and one Options value
 // for its whole life; edits change only the chain. It composes with every
-// fill mode — wavefront workers, ForceGeneral, ε-beam pruning — because
+// fill mode — ForceGeneral, ε-beam pruning — because
 // it reuses the underlying row fillers verbatim. Like those fillers, a
 // Planner is not safe for concurrent use.
 type Planner struct {
@@ -59,7 +59,7 @@ func NewPlanner(c *core.Chain, r core.Resources, o Options) (*Planner, error) {
 	dp, exit := om.Trace.Enter("dp_pass")
 	if p.m2 != nil {
 		dp.Int("tasks", n).Int("big", p.m2.b).Int("little", p.m2.l)
-		fillRows(p.m2, c, 1, n, o)
+		fillRows(p.m2, c, 1, n, om)
 	} else {
 		dp.Int("tasks", n).Str("resources", r.String())
 		kFillRows(p.mk, c, 1, n, om)
@@ -203,7 +203,7 @@ func (p *Planner) refill(from int) {
 		for j := from; j <= n; j++ {
 			p.m2.resetRow(j)
 		}
-		fillRows(p.m2, p.c, from, n, p.o)
+		fillRows(p.m2, p.c, from, n, om)
 	} else {
 		p.mk.resize(n)
 		for j := from; j <= n; j++ {

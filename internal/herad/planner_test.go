@@ -50,11 +50,11 @@ func TestPlannerEditSequence(t *testing.T) {
 		r    core.Resources
 		o    Options
 	}{
-		{"fast2d", 2, core.Res(3, 4), Options{Workers: 1}},
-		{"general2d", 2, core.Res(3, 4), Options{Workers: 1, ForceGeneral: true}},
+		{"fast2d", 2, core.Res(3, 4), Options{}},
+		{"general2d", 2, core.Res(3, 4), Options{ForceGeneral: true}},
 		{"ktype3", 3, core.Res(2, 2, 3), Options{}},
-		{"epsilon", 2, core.Res(4, 4), Options{Workers: 1, Epsilon: 0.05}},
-		{"raw", 2, core.Res(3, 3), Options{Workers: 1, Raw: true}},
+		{"epsilon", 2, core.Res(4, 4), Options{Epsilon: 0.05}},
+		{"raw", 2, core.Res(3, 3), Options{Raw: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -114,7 +114,7 @@ func TestPlannerRebase(t *testing.T) {
 	for iter := 0; iter < 30; iter++ {
 		c := chaingen.Generate(chaingen.Default(10+rng.Intn(10), 0.5), rng)
 		r := core.Res(3, 3)
-		p, err := NewPlanner(c, r, Options{Workers: 1})
+		p, err := NewPlanner(c, r, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +171,7 @@ func TestPlannerRejectsBadInputs(t *testing.T) {
 	if _, err := NewPlanner(c, core.Res(-1, 2), Options{}); err == nil {
 		t.Error("negative resources accepted")
 	}
-	p, err := NewPlanner(c, core.Res(2, 2), Options{Workers: 1})
+	p, err := NewPlanner(c, core.Res(2, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestPlannerRejectsBadInputs(t *testing.T) {
 // TestPlannerPeriod pins the Period accessor against the solution.
 func TestPlannerPeriod(t *testing.T) {
 	c := chaingen.GenerateMany(chaingen.Default(12, 0.5), 5, 1)[0]
-	p, err := NewPlanner(c, core.Res(3, 2), Options{Workers: 1})
+	p, err := NewPlanner(c, core.Res(3, 2), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -162,7 +162,7 @@ func PlanBatch(reqs []Request, workers int) []Result {
 			case modeFollower:
 				out[i] = resolveCached(reqs[i], spans[i], out[leaderOf[i]].Solution, leaderOf[i])
 			default:
-				out[i] = plan(reqs[i], spans[i], false)
+				out[i] = plan(reqs[i], spans[i])
 				if mode[i] == modeLeader {
 					reqs[i].Options.Cache.put(keys[i], out[i].Solution)
 				}
@@ -177,7 +177,7 @@ func PlanBatch(reqs []Request, workers int) []Result {
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				out[i] = plan(reqs[i], spans[i], true)
+				out[i] = plan(reqs[i], spans[i])
 			}
 		}()
 	}
@@ -219,17 +219,9 @@ func PlanAll(c *core.Chain, r core.Resources, opts Options, workers int) []Resul
 // journal span: the strategy journals under it (via the Options value copy)
 // and plan appends one deterministic "result" event — period on success,
 // the error string on failure, never the wall-clock Elapsed.
-//
-// batchParallel reports whether plan was called from a parallel pool; in
-// that case an unset Options.Workers defaults to the serial solver fill —
-// request-level parallelism already saturates the machine, and nesting a
-// per-request GOMAXPROCS-wide wavefront pool underneath would oversubscribe
-// it. An explicit Workers value is always honored. plan operates on its own
-// Request copy, so the caller's slice is never mutated.
-func plan(req Request, sp *trace.Span, batchParallel bool) Result {
-	if batchParallel && req.Options.Workers == 0 {
-		req.Options.Workers = 1
-	}
+// plan operates on its own Request copy, so the caller's slice is never
+// mutated.
+func plan(req Request, sp *trace.Span) Result {
 	req.Options.Trace = sp
 	res := Result{Request: req}
 	switch {

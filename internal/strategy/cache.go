@@ -10,9 +10,9 @@ import (
 
 // cacheKey identifies one solved scheduling problem: the chain's content
 // fingerprint, the resource pair, the strategy, and every Options knob
-// that can change the emitted schedule. Options.Workers is deliberately
-// absent — schedules are bit-identical across worker counts — as are the
-// Metrics/Trace sinks, which observe a solve without influencing it.
+// that can change the emitted schedule. Options.Workers is absent — it is
+// ignored — as are the Metrics/Trace sinks, which observe a solve without
+// influencing it.
 type cacheKey struct {
 	fp       uint64
 	r        core.Resources

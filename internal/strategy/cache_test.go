@@ -128,9 +128,8 @@ func TestCacheKeySeparatesVariants(t *testing.T) {
 	}
 }
 
-// TestCacheIgnoresWorkers pins the key design decision: Workers never
-// changes a schedule, so requests differing only in Workers share one
-// entry.
+// TestCacheIgnoresWorkers pins that the ignored Workers field stays out
+// of the key: requests differing only in Workers share one entry.
 func TestCacheIgnoresWorkers(t *testing.T) {
 	c := testChain(t)
 	r := core.Res(2, 2)

@@ -35,7 +35,7 @@ type ReplanStats struct {
 // one place the mapping lives (heradScheduler.Schedule and the replan path
 // both use it).
 func heradOptions(o Options) herad.Options {
-	return herad.Options{Workers: o.Workers, Raw: o.Raw, Epsilon: o.Epsilon}
+	return herad.Options{Raw: o.Raw, Epsilon: o.Epsilon}
 }
 
 // NewHeradPlanner builds an incumbent herad.Planner from strategy-level
@@ -106,24 +106,24 @@ func ReplanBatch(incumbent *herad.Planner, reqs []Request) ([]Result, *herad.Pla
 			}
 		}
 		if !heradRequest(req) {
-			out[i] = plan(req, sp, false)
+			out[i] = plan(req, sp)
 			st.Cold++
 			continue
 		}
 		if p == nil {
 			np, err := NewHeradPlanner(req.Chain, req.Resources, req.Options)
 			if err != nil {
-				out[i] = plan(req, sp, false)
+				out[i] = plan(req, sp)
 				st.Cold++
 				continue
 			}
 			p = np
 		} else if !replanCompatible(p, req) {
-			out[i] = plan(req, sp, false)
+			out[i] = plan(req, sp)
 			st.Cold++
 			continue
 		} else if err := p.Rebase(req.Chain); err != nil {
-			out[i] = plan(req, sp, false)
+			out[i] = plan(req, sp)
 			st.Cold++
 			continue
 		}

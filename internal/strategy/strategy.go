@@ -94,25 +94,21 @@ type Options struct {
 	// has one — currently HeRAD's ε-optimal beam-pruned DP fill, whose
 	// emitted period P satisfies P ≤ (1+ε)·P* (herad.Options.Epsilon;
 	// DESIGN.md §4g). Zero, negative and NaN all mean the exact solver,
-	// bit-identical to the pre-ε behavior. Unlike Workers, ε changes the
-	// emitted schedule, so it is part of the solution cache key; strategies
+	// bit-identical to the pre-ε behavior. ε changes the emitted
+	// schedule, so it is part of the solution cache key; strategies
 	// without an approximate mode ignore it.
 	Epsilon float64
-	// Workers bounds the intra-schedule worker pool of strategies with a
-	// parallel solver — currently HeRAD's wavefront DP fill. ≤ 0 uses
-	// GOMAXPROCS, 1 forces the serial fill; strategies without internal
-	// parallelism ignore it. Every strategy is bit-identical across worker
-	// counts — only the wall clock changes — so Workers never enters the
-	// solution cache key. PlanBatch defaults unset Workers to 1 when its
-	// own pool is parallel (request-level parallelism already saturates
-	// the machine) and leaves the full-machine default for serial batches.
+	// Workers is ignored: no strategy runs an intra-schedule worker pool
+	// (HeRAD's DP fill is one serial row scan, DESIGN.md §4e), and
+	// request-level parallelism is PlanBatch's workers argument. The field
+	// stays so callers that still set it keep compiling.
 	Workers int
 	// Cache, when non-nil, lets PlanBatch reuse solutions across identical
 	// requests — duplicates within a batch and repeats across batches
 	// sharing the cache — instead of re-solving them. The key is (chain
 	// fingerprint, resources, strategy name, Colocate, Raw, Memoize,
-	// Epsilon, Bounds); Workers and the observability sinks are excluded because
-	// they never change the emitted schedule. Every strategy is
+	// Epsilon, Bounds); Workers and the observability sinks are excluded
+	// because they never change the emitted schedule. Every strategy is
 	// deterministic, so cached batches return byte-identical Results; only
 	// the strategy-internal metric and journal volume shrinks (a hit emits
 	// a "cache_hit" journal event instead of the solver's decision trail).
